@@ -15,14 +15,23 @@
 //!   state; traversals make it `O(N⁴)` worst case.
 //! * [`Variant::Cached`] — Algorithm 3 (the default): Algorithm 2 with
 //!   the `mdown : O → descZ(O)` and `mup : descZ(O) → O` maps replacing
-//!   both traversals with O(1) lookups, for `O(N³)` total.
+//!   both traversals with O(1) lookups — the paper's `O(N³)`, and
+//!   `O(N² log N)` under the greedy policies (below).
 //!
 //! Orthogonally to the variant, a [`SelectionPolicy`] decides *which* of
 //! the candidate triples wins each step:
 //!
 //! * [`SelectionPolicy::Greedy`] (default) — minimum [`TripleScore`]
-//!   (amortized key, then post-reduce residual, then node index); one
-//!   pass, O(1) amortized per candidate via the memoized kernel.
+//!   (amortized key, then post-reduce residual, then node index). Under
+//!   [`Variant::Cached`] the winner comes from an incremental candidate
+//!   heap (`algorithm/heap.rs`): a candidate's score cannot change while
+//!   its three nodes are roots, so each is scored once, and a step only
+//!   scores the `O(|U|)` candidates its new parent joins — `Θ(N²)`
+//!   scores and `O(N² log N)` heap work per construction instead of the
+//!   `Θ(N³)` of a per-step rescan. [`Variant::Paired`] keeps that
+//!   literal full scan as the reference path; the two build
+//!   bit-identical trees (`tests/kernel_differential.rs`).
+//!   [`SelectionPolicy::Vanilla`] is the same under the paper's `λ = 0`.
 //! * [`SelectionPolicy::Lookahead`] — the best-`width` shortlist is
 //!   re-ranked by simulating each candidate and adding the best
 //!   amortized key the next step could then achieve.
@@ -82,6 +91,9 @@ use hatt_pauli::{PauliString, PauliSum};
 
 use crate::error::HattError;
 use crate::stats::{ConstructionStats, IterationStats};
+
+mod heap;
+use heap::CandidateHeap;
 
 // The threaded portfolio and `map_many` move these across scoped worker
 // threads; keep them plain owned data.
@@ -330,18 +342,29 @@ fn hatt_single(
     let mut builder = TernaryTreeBuilder::new(n);
     let mut state = PairingState::new(n);
     let mut iterations = Vec::with_capacity(n);
+    // Greedy Algorithm 3 runs on the incremental candidate heap; the
+    // Algorithm 2 reference path and the lookahead keep their scans.
+    let greedy = matches!(
+        options.policy,
+        SelectionPolicy::Greedy | SelectionPolicy::Vanilla
+    );
+    let mut heap = (greedy && options.variant == Variant::Cached)
+        .then(|| CandidateHeap::new(n, options, blend));
 
     for qubit in 0..n {
         let mut iter_stats = IterationStats {
             qubit,
             ..Default::default()
         };
-        let u = builder.roots();
         let next_parent: NodeId = 2 * n + 1 + qubit;
         // `construct.step` times one qubit's candidate selection — the
         // per-step profiling hook behind the fig12 kernel analysis. A
         // free no-op outside a tracing scope.
         let selection = hatt_trace::span("construct.step", || -> Result<Selection, HattError> {
+            if let Some(heap) = heap.as_mut() {
+                return heap.select(&mut engine, &state, &builder, &mut iter_stats);
+            }
+            let u = builder.roots();
             Ok(match options.variant {
                 Variant::Unopt => {
                     let sel = select_free_triple(
@@ -358,20 +381,9 @@ fn hatt_single(
                         weight: sel.score.weight,
                     }
                 }
-                Variant::Paired => select_paired(
+                Variant::Paired | Variant::Cached => select_paired(
                     &mut engine,
-                    Some(&builder),
-                    &u,
-                    n,
-                    options,
-                    blend,
-                    next_parent,
-                    &mut iter_stats,
-                    &mut state,
-                )?,
-                Variant::Cached => select_paired(
-                    &mut engine,
-                    None,
+                    (options.variant == Variant::Paired).then_some(&builder),
                     &u,
                     n,
                     options,
@@ -430,7 +442,10 @@ fn score_of(
     counts.score(blend)
 }
 
-/// Algorithm 2/3 selection: free `(O_X, O_Z)`, derived `O_Y`.
+/// Algorithm 2/3 selection by full scan: free `(O_X, O_Z)`, derived
+/// `O_Y`. This is the reference path ([`Variant::Paired`]), the
+/// lookahead's shortlist scan, and the remap kernel's touched-winner
+/// fallback; the cached greedy policies use [`CandidateHeap`] instead.
 ///
 /// When `walk` is `Some`, `descZ` / `traverse_up` literally walk the
 /// partial tree inside the selection loop, exactly as Algorithm 2's
@@ -1023,24 +1038,29 @@ pub(crate) fn hatt_remap(
         }
     }
     let mut diverged = false;
+    // The post-divergence tail: a plain greedy construction on the
+    // candidate heap, seeded from the node set at the first diverged step.
+    let mut heap: Option<CandidateHeap> = None;
 
     for (qubit, &prev) in prev_seq.iter().enumerate() {
         let mut iter_stats = IterationStats {
             qubit,
             ..Default::default()
         };
-        let u = builder.roots();
         let next_parent: NodeId = 2 * n + 1 + qubit;
         let prev_touched = prev.iter().any(|&v| touched_node[v]);
-        let selection = if diverged || prev_touched {
-            // Full scan. If the tree still matches the old prefix this
+        let selection = if diverged {
+            heap.get_or_insert_with(|| CandidateHeap::new(n, options, blend))
+                .select(&mut engine, &state, &builder, &mut iter_stats)?
+        } else if prev_touched {
+            // Full scan. The tree still matches the old prefix, so this
             // may well re-elect `prev` (the delta touched it without
             // dethroning it), in which case later steps resume the fast
             // path.
             select_paired(
                 &mut engine,
                 None,
-                &u,
+                &builder.roots(),
                 n,
                 options,
                 blend,
@@ -1056,7 +1076,7 @@ pub(crate) fn hatt_remap(
             {
                 let engine = &mut engine;
                 let counted = &mut iter_stats.candidates;
-                for_each_paired_candidate(&state, &u, n, |cx, cy, cz| {
+                for_each_paired_candidate(&state, &builder.roots(), n, |cx, cy, cz| {
                     let children = [cx, cy, cz];
                     if children != prev
                         && !(touched_node[cx] || touched_node[cy] || touched_node[cz])
@@ -1383,13 +1403,36 @@ mod tests {
     }
 
     #[test]
-    fn cached_candidate_counts_are_quadratic_per_step() {
+    fn cached_candidate_counts_are_linear_per_step() {
+        // The candidate heap scores each paired candidate once. Step 0
+        // of a 4-mode system scores its 4 leaf pairs × 7 choices of O_Z;
+        // every later step only the new parent's row and column.
         let h = MajoranaSum::uniform_singles(4);
         let m = hatt(&h);
-        let first = &m.stats().iterations[0];
-        // ≤ |U|·(|U|−1) ordered pairs, minus skips.
-        assert!(first.candidates <= 72, "got {}", first.candidates);
-        assert!(first.candidates >= 36, "got {}", first.candidates);
+        let iterations = &m.stats().iterations;
+        assert_eq!(iterations[0].candidates, 4 * 7);
+        for it in &iterations[1..] {
+            let u = 2 * 4 + 1 - 2 * it.qubit; // |U| at this step
+            let bound = (u - 2 + (u - 1) / 2) as u64;
+            assert!(
+                it.candidates <= bound,
+                "step {}: {} > {bound}",
+                it.qubit,
+                it.candidates
+            );
+        }
+    }
+
+    #[test]
+    fn cached_candidate_total_is_quadratic() {
+        // Host-independent work gate: the whole N = 256 chain scores at
+        // most (2N + 1)² candidates (a full rescan per step scores
+        // 22,435,072).
+        let n = 256;
+        let m = hatt(&MajoranaSum::uniform_singles(n));
+        let total = m.stats().total_candidates();
+        let bound = ((2 * n + 1) * (2 * n + 1)) as u64;
+        assert!(total <= bound, "{total} candidates > {bound}");
     }
 
     #[test]

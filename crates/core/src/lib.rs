@@ -40,7 +40,9 @@
 //! * **Algorithm 2** (`Paired`): vacuum-state-preserving operator pairing
 //!   with literal tree traversals;
 //! * **Algorithm 3** (`Cached`, default): the `mdown`/`mup` maps reduce
-//!   pairing traversals to O(1), for `O(N³)` total.
+//!   pairing traversals to O(1), for `O(N³)` total — and `O(N² log N)`
+//!   under the greedy policies, which keep scored candidates in an
+//!   incremental heap and score only what each merge creates.
 //!
 //! Orthogonally, a [`hatt_mappings::SelectionPolicy`] (set via
 //! [`Mapper::builder`]) decides *which* candidate triple wins each

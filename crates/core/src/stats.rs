@@ -27,7 +27,9 @@ use std::time::Duration;
 pub struct IterationStats {
     /// The qubit settled in this iteration.
     pub qubit: usize,
-    /// Number of candidate selections whose weight was evaluated.
+    /// Number of candidate selections whose weight was evaluated. The
+    /// cached greedy kernel scores each candidate once, so this counts
+    /// the candidates the previous merge created (every one at step 0).
     pub candidates: u64,
     /// Number of tree-traversal steps performed while pairing (walking
     /// `descZ` / `traverse_up`); 0 for the cached variant, which replaces

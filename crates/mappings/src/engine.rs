@@ -40,13 +40,21 @@
 //! intersection counts. The engine maintains the popcounts eagerly and a
 //! pairwise-count memo invalidated per node (each `reduce` /
 //! [`TermEngine::set_incidence`] bumps that node's epoch, so only pairs
-//! touching the mutated node are recomputed). Inside a selection loop
-//! evaluating `Ω(|U|²)` candidates over `|U|` stable nodes, every
-//! evaluation after the first visit of a pair is O(1) instead of
-//! O(T/64) — this is what pushes the Figure 12 sweep to the paper's
-//! N≈100 regime. [`TermEngine::weight_of_triple_memo`] is the memoized
-//! entry point; the allocation-free one-pass kernel stays available as
+//! touching the mutated node are recomputed). Every evaluation after
+//! the first visit of a pair is O(1) instead of O(T/64).
+//! [`TermEngine::weight_of_triple_memo`] is the memoized entry point; the
+//! allocation-free one-pass kernel stays available as
 //! [`TermEngine::weight_of_triple`].
+//!
+//! The memo makes one score cheap; the candidate heap in `hatt-core`
+//! (`crates/core/src/algorithm/heap.rs`) makes scores rare. A triple's
+//! counts depend only on its three incidence sets, and those never
+//! change while the three nodes are roots, so the greedy Algorithm 3
+//! scores each paired candidate exactly once, keeps it in a lazy
+//! min-heap, and after a merge scores only the `O(|U|)` candidates the
+//! new parent joins. That is `Θ(N²)` scores and `O(N² log N)` heap work
+//! per construction, against `Θ(N³)` for the per-step full scan that
+//! Algorithm 2 (`Variant::Paired`) keeps as the reference path.
 //!
 //! ## Threading
 //!

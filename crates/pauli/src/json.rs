@@ -308,13 +308,17 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar. The input is a &str, so the
-                    // byte stream is valid UTF-8 by construction.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty char"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote,
+                    // backslash or control byte. Those are all ASCII, so
+                    // the run ends on a char boundary of the (valid UTF-8)
+                    // input and validating it costs only its own length.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -477,6 +481,31 @@ mod tests {
         assert!(Json::parse(r#""\ud834""#).is_err(), "lone high surrogate");
         // Raw multi-byte UTF-8 passes through.
         assert_eq!(Json::parse("\"λ=1\"").unwrap(), Json::str("λ=1"));
+    }
+
+    #[test]
+    fn parse_copies_multibyte_scalars_next_to_escapes() {
+        // 2-, 3- and 4-byte scalars before and after escapes, and as the
+        // last scalar of the string and of the input.
+        for s in ["é\n", "\té", "€\"€", "a\\€", "𝄞\u{1}𝄞", "é€𝄞", "x𝄞", "𝄞"]
+        {
+            let text = Json::str(s).render();
+            assert_eq!(Json::parse(&text).unwrap(), Json::str(s), "{text}");
+        }
+        assert_eq!(Json::parse(r#""\u0041€""#).unwrap(), Json::str("A€"));
+        assert_eq!(Json::parse(r#""𝄞\n""#).unwrap(), Json::str("𝄞\n"));
+        assert_eq!(
+            Json::parse(r#"["é","𝄞"]"#).unwrap().render(),
+            r#"["é","𝄞"]"#
+        );
+        for unterminated in ["\"é", "\"€", "\"x𝄞"] {
+            let err = Json::parse(unterminated).unwrap_err();
+            assert!(
+                err.message.contains("unterminated"),
+                "{unterminated}: {err}"
+            );
+        }
+        assert!(Json::parse("\"𝄞\\").is_err(), "dangling escape");
     }
 
     #[test]

@@ -83,6 +83,20 @@ pub fn remap(addr: impl ToSocketAddrs, req: &MapDeltaRequest) -> Result<MapReply
     exchange(addr, &req.to_line(), &req.id, |_| {})
 }
 
+/// Connects, writes one request line, and returns the response reader.
+/// Nagle is off: a request is one small write followed by a wait for
+/// the reply, exactly the pattern where Nagle plus delayed ACKs stall.
+fn send(addr: impl ToSocketAddrs, line: &str) -> Result<BufReader<TcpStream>, ServiceError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let mut writer = BufWriter::new(&stream);
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()?;
+    drop(writer);
+    Ok(BufReader::new(stream))
+}
+
 /// Writes one request line and collects the streamed `map_item` lines
 /// up to the `map_done` marker — the shared transport loop behind
 /// [`request_streaming`] and [`remap`].
@@ -92,12 +106,7 @@ fn exchange(
     id: &str,
     mut on_item: impl FnMut(&MapItem),
 ) -> Result<MapReply, ServiceError> {
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(request_line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    let reader = send(addr, request_line)?;
 
     let mut items = Vec::new();
     for line in reader.lines() {
@@ -141,12 +150,7 @@ fn exchange(
 /// See [`crate::Server`] — the doctest there probes a live daemon.
 pub fn stats(addr: impl ToSocketAddrs, id: impl Into<String>) -> Result<StatsReply, ServiceError> {
     let req = StatsRequest::new(id);
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(req.to_line().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    let reader = send(addr, &req.to_line())?;
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -193,12 +197,7 @@ pub fn trace_dump(
     id: impl Into<String>,
 ) -> Result<TraceDumpReply, ServiceError> {
     let req = TraceDumpRequest::new(id);
-    let stream = TcpStream::connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writer.write_all(req.to_line().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    let reader = send(addr, &req.to_line())?;
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -216,4 +215,16 @@ pub fn trace_dump(
     Err(ServiceError::Protocol(
         "connection closed before the trace_dump line".into(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_connections_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let reader = send(listener.local_addr().unwrap(), "{}").unwrap();
+        assert!(reader.get_ref().nodelay().unwrap());
+    }
 }

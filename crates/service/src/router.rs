@@ -469,6 +469,9 @@ struct ShardConn {
 
 fn connect(addr: &str) -> std::io::Result<ShardConn> {
     let stream = TcpStream::connect(addr)?;
+    // Sub-requests are small lines answered before the next is sent;
+    // with Nagle on, each would wait out the shard's delayed ACK.
+    stream.set_nodelay(true)?;
     // A wedged shard must not pin the forwarder (and the router's
     // drain) forever; a timeout surfaces as a transport error and the
     // job is answered with typed items.
@@ -641,6 +644,15 @@ mod tests {
 
     fn labels(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect()
+    }
+
+    #[test]
+    fn shard_connections_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let conn = connect(&addr).unwrap();
+        assert!(conn.writer.get_ref().nodelay().unwrap());
+        assert!(conn.reader.get_ref().nodelay().unwrap());
     }
 
     #[test]
