@@ -553,19 +553,36 @@ impl RemapStudy {
 }
 
 /// A quartic support absent from `h`, scanned deterministically from
-/// `salt` — the one-term edit of the remap stream.
+/// `salt` — the one-term edit of the remap stream. Evenly spaced quads
+/// `a, a+s, a+2s, a+3s` are tried stride by stride, consecutive ones
+/// (`s = 1`) first, so a long stream does not run out when the
+/// consecutive quads are all present.
 fn absent_quad(h: &MajoranaSum, salt: usize) -> Vec<u32> {
     let m = 2 * h.n_modes() as u32;
     assert!(m >= 4, "remap study needs at least two modes");
-    for off in 0..m {
-        let a = (salt as u32 + off) % (m - 3);
-        let support = vec![a, a + 1, a + 2, a + 3];
-        if h.coefficient_of(&support).is_zero(1e-12) {
-            return support;
+    for stride in 1..=(m - 1) / 3 {
+        let starts = m - 3 * stride;
+        for off in 0..starts {
+            let a = (salt as u32 + off) % starts;
+            let support: Vec<u32> = (0..4).map(|k| a + k * stride).collect();
+            if h.coefficient_of(&support).is_zero(1e-12) {
+                return support;
+            }
         }
     }
-    // hatt-lint: allow(panic) -- bench harness; m candidate quads cannot all collide with O(m) terms
+    // hatt-lint: allow(panic) -- bench harness; the streams insert far fewer quads than the ~m²/6 evenly spaced ones
     panic!("no absent quad found");
+}
+
+/// Step `step` of the remap stream: adds `0.5` on an absent quad of
+/// `current`. Returns the delta and the edited Hamiltonian.
+fn remap_stream_edit(current: &MajoranaSum, step: usize) -> (HamiltonianDelta, MajoranaSum) {
+    let mut delta = HamiltonianDelta::new(current.n_modes());
+    delta
+        .push_add(Complex64::real(0.5), &absent_quad(current, 7 * step + 1))
+        .expect("absent support inserts");
+    let next = delta.apply(current).expect("one-term delta applies");
+    (delta, next)
 }
 
 /// Times a one-term-delta stream on the dense-molecule workload:
@@ -585,11 +602,7 @@ pub fn remap_study(smoke: bool) -> RemapStudy {
     let mut fresh_s = 0.0;
     let mut current = base.clone();
     for step in 0..steps {
-        let mut delta = HamiltonianDelta::new(current.n_modes());
-        delta
-            .push_add(Complex64::real(0.5), &absent_quad(&current, 7 * step + 1))
-            .expect("absent support inserts");
-        let next = delta.apply(&current).expect("one-term delta applies");
+        let (delta, next) = remap_stream_edit(&current, step);
 
         let t0 = Instant::now();
         let m = mapper
@@ -1120,6 +1133,18 @@ mod tests {
             "one-term deltas must never construct cold"
         );
         assert!(r.incremental_s > 0.0 && r.fresh_s > 0.0);
+    }
+
+    #[test]
+    fn full_remap_stream_finds_an_absent_quad_every_step() {
+        // The non-smoke study: 32 insertions on the 12-mode base, more
+        // than its 21 consecutive quads.
+        let mut current = SweepWorkload::DenseMolecule.hamiltonian(12);
+        for step in 0..32 {
+            let (_, next) = remap_stream_edit(&current, step);
+            assert_eq!(next.n_terms(), current.n_terms() + 1, "step {step}");
+            current = next;
+        }
     }
 
     #[test]

@@ -47,6 +47,14 @@ impl Circuit {
         }
     }
 
+    /// An empty circuit on `n_qubits` with room for `capacity` gates.
+    pub(crate) fn with_capacity(n_qubits: usize, capacity: usize) -> Self {
+        Circuit {
+            n_qubits,
+            gates: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn n_qubits(&self) -> usize {
@@ -77,15 +85,20 @@ impl Circuit {
     ///
     /// Panics if the gate touches a qubit outside the register.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        for q in gate.qubits() {
+        self.check_register(&gate);
+        self.gates.push(gate);
+        self
+    }
+
+    fn check_register(&self, gate: &Gate) {
+        let (slots, len) = gate.qubit_slots();
+        for &q in &slots[..len] {
             assert!(
                 q < self.n_qubits,
                 "gate {gate} touches qubit {q}, register has {}",
                 self.n_qubits
             );
         }
-        self.gates.push(gate);
-        self
     }
 
     /// Appends a Hadamard.
@@ -184,10 +197,11 @@ impl Circuit {
                 Gate::Swap(..) => cnot += 3,
                 _ => single += 1,
             }
-            let qs = g.qubits();
+            let (slots, len) = g.qubit_slots();
+            let qs = &slots[..len];
             let start = qs.iter().map(|&q| busy_until[q]).max().unwrap_or(0);
             let steps = if matches!(g, Gate::Swap(..)) { 3 } else { 1 };
-            for &q in &qs {
+            for &q in qs {
                 busy_until[q] = start + steps;
             }
             depth = depth.max(start + steps);
@@ -211,9 +225,9 @@ impl Circuit {
     ///
     /// Panics if any gate exceeds the register.
     pub fn from_gates(n_qubits: usize, gates: Vec<Gate>) -> Self {
-        let mut c = Circuit::new(n_qubits);
-        for g in gates {
-            c.push(g);
+        let c = Circuit { n_qubits, gates };
+        for g in &c.gates {
+            c.check_register(g);
         }
         c
     }

@@ -83,6 +83,15 @@ pub enum Gate {
 impl Gate {
     /// The qubits the gate touches, in a stable order.
     pub fn qubits(&self) -> Vec<usize> {
+        let (slots, len) = self.qubit_slots();
+        slots[..len].to_vec()
+    }
+
+    /// The qubits of [`Gate::qubits`] without the allocation: the first
+    /// `len` entries of the array, the rest zero. Hot loops (bounds
+    /// checks, metrics, the optimization passes) read this per gate.
+    #[inline]
+    pub(crate) fn qubit_slots(&self) -> ([usize; 2], usize) {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -93,9 +102,9 @@ impl Gate {
             | Gate::Rz(q, _)
             | Gate::Rx(q, _)
             | Gate::Ry(q, _)
-            | Gate::U3 { q, .. } => vec![q],
-            Gate::Cnot { control, target } => vec![control, target],
-            Gate::Swap(a, b) => vec![a, b],
+            | Gate::U3 { q, .. } => ([q, 0], 1),
+            Gate::Cnot { control, target } => ([control, target], 2),
+            Gate::Swap(a, b) => ([a, b], 2),
         }
     }
 
@@ -256,6 +265,8 @@ mod tests {
     fn qubit_lists() {
         assert_eq!(Gate::Rz(3, 0.5).qubits(), vec![3]);
         assert_eq!(Gate::Swap(1, 4).qubits(), vec![1, 4]);
+        assert_eq!(Gate::Swap(1, 4).qubit_slots(), ([1, 4], 2));
+        assert_eq!(Gate::H(3).qubit_slots(), ([3, 0], 1));
         assert!(!Gate::H(0).is_two_qubit());
         assert!(Gate::Cnot {
             control: 0,

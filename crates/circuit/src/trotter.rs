@@ -46,23 +46,38 @@ pub enum TermOrder {
 /// # Ok::<(), hatt_pauli::ParsePauliStringError>(())
 /// ```
 pub fn pauli_evolution(p: &PauliString, angle: f64) -> Circuit {
+    let mut c = Circuit::with_capacity(p.n_qubits(), snippet_len(p));
+    emit_pauli_evolution(&mut c, &mut Vec::new(), p, angle);
+    c
+}
+
+/// Appends the [`pauli_evolution`] snippet of `p` to `c`. `support` is
+/// scratch space reused across calls, so a Trotter step emits every
+/// snippet into one gate buffer without a per-term allocation.
+fn emit_pauli_evolution(c: &mut Circuit, support: &mut Vec<usize>, p: &PauliString, angle: f64) {
     assert!(
         p.is_hermitian(),
         "cannot exponentiate non-Hermitian string {p}"
     );
-    let n = p.n_qubits();
-    let mut c = Circuit::new(n);
-    let support: Vec<usize> = p.support();
-    if support.is_empty() {
-        return c; // identity: global phase only
+    support.clear();
+    let blocks = p.x_bits().blocks().iter().zip(p.z_bits().blocks());
+    for (i, (&x, &z)) in blocks.enumerate() {
+        let mut word = x | z;
+        while word != 0 {
+            support.push(64 * i + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
     }
+    let Some(&target) = support.last() else {
+        return; // identity: global phase only
+    };
     let sign = if p.coefficient_phase() == Phase::MINUS_ONE {
         -1.0
     } else {
         1.0
     };
     // Basis changes: X → H, Y → S† then H.
-    for &q in &support {
+    for &q in support.iter() {
         match p.op(q) {
             Pauli::X => {
                 c.h(q);
@@ -78,15 +93,12 @@ pub fn pauli_evolution(p: &PauliString, angle: f64) -> Circuit {
     for w in support.windows(2) {
         c.cnot(w[0], w[1]);
     }
-    #[allow(clippy::expect_used)]
-    // hatt-lint: allow(panic) -- identity strings returned early above, so support is non-empty
-    let target = *support.last().expect("non-empty support");
     c.rz(target, sign * angle);
     // Un-ladder and undo basis changes.
     for w in support.windows(2).rev() {
         c.cnot(w[0], w[1]);
     }
-    for &q in &support {
+    for &q in support.iter() {
         match p.op(q) {
             Pauli::X => {
                 c.h(q);
@@ -98,7 +110,34 @@ pub fn pauli_evolution(p: &PauliString, angle: f64) -> Circuit {
             _ => {}
         }
     }
-    c
+}
+
+/// Number of gates [`emit_pauli_evolution`] emits for `p`: a basis change
+/// and its undo per `X` (one gate each) and `Y` (two each), the CNOT
+/// ladder and un-ladder, and the RZ; none for the identity.
+fn snippet_len(p: &PauliString) -> usize {
+    let blocks = p.x_bits().blocks().iter().zip(p.z_bits().blocks());
+    let (mut support, mut basis) = (0, 0);
+    for (&x, &z) in blocks {
+        support += (x | z).count_ones() as usize;
+        basis += (x.count_ones() + (x & z).count_ones()) as usize;
+    }
+    if support == 0 {
+        0
+    } else {
+        2 * basis + 2 * support - 1
+    }
+}
+
+/// An empty circuit with room for exactly `snippets` times the snippets
+/// of `terms`, so a Trotter step fills one allocation without regrowing.
+fn trotter_buffer(
+    n_qubits: usize,
+    terms: &[(hatt_pauli::Complex64, PauliString)],
+    snippets: usize,
+) -> Circuit {
+    let per_pass: usize = terms.iter().map(|(_, s)| snippet_len(s)).sum();
+    Circuit::with_capacity(n_qubits, per_pass.saturating_mul(snippets))
 }
 
 /// Orders the terms of a Hamiltonian according to `order`, returning
@@ -108,7 +147,7 @@ pub fn order_terms(h: &PauliSum, order: TermOrder) -> Vec<(hatt_pauli::Complex64
     match order {
         TermOrder::Given => {}
         TermOrder::Lexicographic => {
-            terms.sort_by_key(|(_, s)| s.to_string());
+            terms.sort_by_cached_key(|(_, s)| letter_key(s));
         }
         TermOrder::GreedyOverlap => {
             if terms.len() > 1 {
@@ -136,15 +175,23 @@ pub fn order_terms(h: &PauliSum, order: TermOrder) -> Vec<(hatt_pauli::Complex64
     terms
 }
 
+/// The letters of `s`, most significant qubit first: with `Pauli`'s
+/// `I < X < Y < Z` this orders strings as their string forms do (`"XZ"`
+/// is `X` on qubit 1), since a [`PauliSum`]'s strings carry no phase prefix.
+fn letter_key(s: &PauliString) -> Vec<Pauli> {
+    (0..s.n_qubits()).rev().map(|q| s.op(q)).collect()
+}
+
 /// Number of qubits where both strings carry the same non-identity letter
-/// (shared basis changes / ladder steps for the optimizer to cancel).
+/// (shared basis changes / ladder steps for the optimizer to cancel):
+/// per 64-qubit block, the popcount of `x_a == x_b ∧ z_a == z_b ∧ (x_a ∨ z_a)`.
 fn same_letter_overlap(a: &PauliString, b: &PauliString) -> usize {
-    (0..a.n_qubits())
-        .filter(|&q| {
-            let (pa, pb) = (a.op(q), b.op(q));
-            pa != Pauli::I && pa == pb
-        })
-        .count()
+    let a_blocks = a.x_bits().blocks().iter().zip(a.z_bits().blocks());
+    let b_blocks = b.x_bits().blocks().iter().zip(b.z_bits().blocks());
+    a_blocks
+        .zip(b_blocks)
+        .map(|((&xa, &za), (&xb, &zb))| (!(xa ^ xb) & !(za ^ zb) & (xa | za)).count_ones() as usize)
+        .sum()
 }
 
 /// Synthesizes the first-order Trotterization of `exp(-i·H·t)` with the
@@ -176,15 +223,13 @@ pub fn trotter_circuit(h: &PauliSum, time: f64, steps: usize, order: TermOrder) 
         "cannot Trotterize a non-Hermitian Hamiltonian"
     );
     let terms = order_terms(h, order);
-    let mut c = Circuit::new(h.n_qubits());
+    let mut c = trotter_buffer(h.n_qubits(), &terms, steps);
+    let mut support = Vec::new();
     let dt = time / steps as f64;
     for _ in 0..steps {
         for (coeff, s) in &terms {
-            if s.is_identity() {
-                continue;
-            }
             // exp(-i c t/n S) = exp(-i (2 c t / n)/2 S)
-            c.append(&pauli_evolution(s, 2.0 * coeff.re * dt));
+            emit_pauli_evolution(&mut c, &mut support, s, 2.0 * coeff.re * dt);
         }
     }
     c
@@ -205,18 +250,12 @@ pub fn trotter_circuit_order2(h: &PauliSum, time: f64, steps: usize, order: Term
         "cannot Trotterize a non-Hermitian Hamiltonian"
     );
     let terms = order_terms(h, order);
-    let mut c = Circuit::new(h.n_qubits());
+    let mut c = trotter_buffer(h.n_qubits(), &terms, steps.saturating_mul(2));
+    let mut support = Vec::new();
     let dt = time / steps as f64;
     for _ in 0..steps {
-        for (coeff, s) in &terms {
-            if !s.is_identity() {
-                c.append(&pauli_evolution(s, coeff.re * dt));
-            }
-        }
-        for (coeff, s) in terms.iter().rev() {
-            if !s.is_identity() {
-                c.append(&pauli_evolution(s, coeff.re * dt));
-            }
+        for (coeff, s) in terms.iter().chain(terms.iter().rev()) {
+            emit_pauli_evolution(&mut c, &mut support, s, coeff.re * dt);
         }
     }
     c
@@ -301,6 +340,79 @@ mod tests {
         // The deterministic first term is ZZZ (symplectic key order); its
         // best overlap is XXZ (shared Z on qubit 0), leaving XXI last.
         assert_eq!(names, vec!["ZZZ", "XXZ", "XXI"]);
+    }
+
+    #[test]
+    fn snippet_len_counts_the_emitted_gates() {
+        for text in ["IIII", "Z", "X", "Y", "XYZI", "YYYY", "ZIIX", "IYIZX"] {
+            let p: PauliString = text.parse().expect("valid string");
+            assert_eq!(snippet_len(&p), pauli_evolution(&p, 0.3).len(), "{text}");
+        }
+        // Strings spanning several 64-bit blocks.
+        let ops = [
+            (0, Pauli::Y),
+            (63, Pauli::X),
+            (64, Pauli::Z),
+            (129, Pauli::Y),
+        ];
+        let p = PauliString::from_ops(130, &ops);
+        assert_eq!(snippet_len(&p), pauli_evolution(&p, 0.3).len());
+    }
+
+    #[test]
+    fn greedy_overlap_matches_per_qubit_overlap_on_random_sums() {
+        // The per-qubit definition the block popcount replaces.
+        fn per_qubit(a: &PauliString, b: &PauliString) -> usize {
+            (0..a.n_qubits())
+                .filter(|&q| a.op(q) != Pauli::I && a.op(q) == b.op(q))
+                .count()
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..40 {
+            // Up to 130 qubits, so strings span three 64-bit blocks.
+            let n = 1 + next(130) as usize;
+            let mut h = PauliSum::new(n);
+            for _ in 0..1 + next(24) {
+                let ops: Vec<(usize, Pauli)> = (0..n)
+                    .filter_map(|q| match next(8) {
+                        k @ 1..=3 => Some((q, Pauli::ALL[k as usize])),
+                        _ => None,
+                    })
+                    .collect();
+                let coeff = next(1000) as f64 / 500.0 - 1.0;
+                h.add(Complex64::real(coeff), PauliString::from_ops(n, &ops));
+            }
+            let terms: Vec<PauliString> = h.iter().map(|(_, s)| s).collect();
+            for a in &terms {
+                for b in &terms {
+                    assert_eq!(same_letter_overlap(a, b), per_qubit(a, b), "case {case}");
+                }
+            }
+            // The greedy chain, rebuilt with the per-qubit overlap.
+            let mut rest: Vec<PauliString> = terms;
+            let mut expected = vec![rest.remove(0)];
+            while !rest.is_empty() {
+                let prev = expected.last().expect("seeded");
+                let (best, _) = rest
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (i, per_qubit(prev, s)))
+                    .max_by_key(|&(_, o)| o)
+                    .expect("non-empty");
+                expected.push(rest.remove(best));
+            }
+            let got: Vec<PauliString> = order_terms(&h, TermOrder::GreedyOverlap)
+                .into_iter()
+                .map(|(_, s)| s)
+                .collect();
+            assert_eq!(got, expected, "case {case}");
+        }
     }
 
     #[test]
