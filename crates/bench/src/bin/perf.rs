@@ -199,16 +199,25 @@ fn main() -> ExitCode {
 
     println!("\n== incremental remap: one-term-delta stream vs cold rebuilds ==");
     let remap = remap_study(args.smoke);
-    println!(
-        "  {} / {} steps  incremental {:.2} ms  fresh {:.2} ms  ×{:.2}  ({:.1} remaps/s, {} cold after base)",
-        remap.case,
-        remap.steps,
-        remap.incremental_s * 1e3,
-        remap.fresh_s * 1e3,
-        remap.speedup(),
-        remap.remaps_per_s(),
-        remap.constructions_after_base,
-    );
+    for p in &remap.points {
+        println!(
+            "  {} N={:<4} {} steps  incremental {:.2} ms  fresh {:.2} ms  ×{:.2}  candidates {} vs {} (+{} allowed)  ({} cold after base)",
+            remap.workload,
+            p.n_modes,
+            p.steps,
+            p.incremental_s * 1e3,
+            p.fresh_s * 1e3,
+            p.speedup(),
+            p.remap_candidates,
+            p.fresh_candidates,
+            p.touched_bound,
+            p.constructions_after_base,
+        );
+    }
+    match remap.crossover_n() {
+        Some(n) => println!("  remap wins from N={n} on"),
+        None => println!("  remap loses at the largest N"),
+    }
 
     println!("\n== open-loop service load: single daemon vs 2-shard router ==");
     let load = load_study(args.smoke);

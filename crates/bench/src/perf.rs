@@ -507,14 +507,12 @@ pub fn parallel_study(smoke: bool) -> ParallelReport {
     }
 }
 
-/// The incremental-remapping study serialized under `"remap"` in
-/// `BENCH_perf.json` (hatt-perf/3): a stream of one-term deltas served
-/// by [`Mapper::remap`] vs cold rebuilds of every edited Hamiltonian —
-/// the adaptive-ansatz workload the `map_delta` verb exists for.
-#[derive(Debug, Clone)]
-pub struct RemapStudy {
-    /// Benchmark case name.
-    pub case: String,
+/// One point of the [`RemapStudy`] curve: a stream of one-term deltas
+/// on the `n_modes`-mode dense molecule, each served by
+/// [`Mapper::remap`] and, for the baseline, cold-constructed from
+/// scratch.
+#[derive(Debug, Clone, Default)]
+pub struct RemapPoint {
     /// Mode count of the base Hamiltonian.
     pub n_modes: usize,
     /// One-term deltas in the stream.
@@ -530,9 +528,17 @@ pub struct RemapStudy {
     /// Cold constructions on the incremental path **after** the base
     /// (must be 0 — every step rode the ancestor).
     pub constructions_after_base: u64,
+    /// Candidates the remaps scored, summed over the stream.
+    pub remap_candidates: u64,
+    /// Candidates the cold rebuilds scored, summed over the stream.
+    pub fresh_candidates: u64,
+    /// The remap kernel's allowance over a cold build, summed over the
+    /// stream: `|touched| · (3N + 1)` per edit. Every point must have
+    /// `remap_candidates <= fresh_candidates + touched_bound`.
+    pub touched_bound: u64,
 }
 
-impl RemapStudy {
+impl RemapPoint {
     /// Cold / incremental wall-time ratio (> 1 means remap won).
     pub fn speedup(&self) -> f64 {
         if self.incremental_s > 0.0 {
@@ -548,6 +554,46 @@ impl RemapStudy {
             self.steps as f64 / self.incremental_s
         } else {
             0.0
+        }
+    }
+}
+
+/// The incremental-remapping study serialized under `"remap"` in
+/// `BENCH_perf.json`: one-term-delta streams served by
+/// [`Mapper::remap`] vs cold rebuilds of every edited Hamiltonian — the
+/// adaptive-ansatz workload the `map_delta` verb exists for — as a
+/// curve over N on the dense-molecule workload.
+#[derive(Debug, Clone)]
+pub struct RemapStudy {
+    /// Workload name.
+    pub workload: String,
+    /// One point per mode count, ascending.
+    pub points: Vec<RemapPoint>,
+}
+
+impl RemapStudy {
+    /// The smallest N from which on remap wins at every point (speedup
+    /// ≥ 1), or `None` when it loses at the largest N.
+    pub fn crossover_n(&self) -> Option<usize> {
+        let losing = self.points.iter().rposition(|p| p.speedup() < 1.0);
+        let from = losing.map_or(0, |i| i + 1);
+        self.points.get(from).map(|p| p.n_modes)
+    }
+
+    /// Every stream of the curve as one: summed counters and times, the
+    /// largest N.
+    pub fn total(&self) -> RemapPoint {
+        let sum = |f: fn(&RemapPoint) -> u64| self.points.iter().map(f).sum::<u64>();
+        RemapPoint {
+            n_modes: self.points.last().map_or(0, |p| p.n_modes),
+            steps: self.points.iter().map(|p| p.steps).sum(),
+            incremental_s: self.points.iter().map(|p| p.incremental_s).sum(),
+            fresh_s: self.points.iter().map(|p| p.fresh_s).sum(),
+            remaps: sum(|p| p.remaps),
+            constructions_after_base: sum(|p| p.constructions_after_base),
+            remap_candidates: sum(|p| p.remap_candidates),
+            fresh_candidates: sum(|p| p.fresh_candidates),
+            touched_bound: sum(|p| p.touched_bound),
         }
     }
 }
@@ -585,22 +631,45 @@ fn remap_stream_edit(current: &MajoranaSum, step: usize) -> (HamiltonianDelta, M
     (delta, next)
 }
 
-/// Times a one-term-delta stream on the dense-molecule workload:
-/// `steps` edits, each served incrementally through [`Mapper::remap`]
-/// (one warm base construction, then ancestor rebuilds only) and, for
-/// the baseline, cold-constructed from scratch. Both paths produce
-/// bit-identical trees (`tests/remap_differential.rs` pins this); the
-/// study records what the incremental path saves.
+/// The `(N, steps)` points of the remap study.
+fn remap_points(smoke: bool) -> &'static [(usize, usize)] {
+    if smoke {
+        &[(8, 8), (32, 8)]
+    } else {
+        &[(8, 16), (32, 16), (128, 8)]
+    }
+}
+
+/// Times one-term-delta streams on the dense-molecule workload at
+/// N = 8, 32 and 128 (smoke: 8 and 32): per point, 8 or 16 edits, each
+/// served incrementally through [`Mapper::remap`] (one warm base
+/// construction, then ancestor rebuilds only) and, for the baseline,
+/// cold-constructed from scratch on an uncached mapper. Both paths produce bit-identical
+/// trees (`tests/remap_differential.rs` pins this); the study records
+/// what the incremental path saves, in time and in scored candidates.
 pub fn remap_study(smoke: bool) -> RemapStudy {
-    let (n, steps) = if smoke { (8, 8) } else { (12, 32) };
+    RemapStudy {
+        workload: "dense_molecule".into(),
+        points: remap_points(smoke)
+            .iter()
+            .map(|&(n, steps)| remap_point(n, steps))
+            .collect(),
+    }
+}
+
+fn remap_point(n: usize, steps: usize) -> RemapPoint {
     let base = SweepWorkload::DenseMolecule.hamiltonian(n);
     let mapper = Mapper::new();
     mapper.map(&base).expect("base maps");
     let base_constructions = mapper.cache().constructions();
+    let cold = uncached_mapper(|b| b);
 
-    let mut incremental_s = 0.0;
-    let mut fresh_s = 0.0;
-    let mut current = base.clone();
+    let mut point = RemapPoint {
+        n_modes: n,
+        steps,
+        ..RemapPoint::default()
+    };
+    let mut current = base;
     for step in 0..steps {
         let (delta, next) = remap_stream_edit(&current, step);
 
@@ -608,27 +677,20 @@ pub fn remap_study(smoke: bool) -> RemapStudy {
         let m = mapper
             .remap(&current, &delta)
             .expect("remap serves the edit");
-        incremental_s += t0.elapsed().as_secs_f64();
-        std::hint::black_box(m.stats().total_weight());
+        point.incremental_s += t0.elapsed().as_secs_f64();
+        point.remap_candidates += m.stats().total_candidates();
 
-        let cold = uncached_mapper(|b| b);
         let t0 = Instant::now();
         let m = cold.map(&next).expect("cold rebuild");
-        fresh_s += t0.elapsed().as_secs_f64();
-        std::hint::black_box(m.stats().total_weight());
+        point.fresh_s += t0.elapsed().as_secs_f64();
+        point.fresh_candidates += m.stats().total_candidates();
+        point.touched_bound += delta.support_touched().len() as u64 * (3 * n as u64 + 1);
 
         current = next;
     }
-
-    RemapStudy {
-        case: format!("dense_molecule n={n}"),
-        n_modes: n,
-        steps,
-        incremental_s,
-        fresh_s,
-        remaps: mapper.cache().remaps(),
-        constructions_after_base: mapper.cache().constructions() - base_constructions,
-    }
+    point.remaps = mapper.cache().remaps();
+    point.constructions_after_base = mapper.cache().constructions() - base_constructions;
+    point
 }
 
 /// Least-squares slope of `ln t` against `ln n`; `None` with fewer than
@@ -788,22 +850,52 @@ fn load_report_to_json(r: &crate::load::LoadReport) -> Json {
     ])
 }
 
-/// The `"remap"` section of the hatt-perf/3 document.
+/// The `"remap"` section: the per-point curve under `"points"`, with the
+/// totals over every stream at the top level, where hatt-perf/3
+/// readers find them.
 fn remap_to_json(r: &RemapStudy) -> Json {
-    Json::Obj(vec![
-        ("case".into(), Json::str(&r.case)),
-        ("n_modes".into(), Json::int(r.n_modes as u64)),
-        ("steps".into(), Json::int(r.steps as u64)),
-        ("incremental_s".into(), Json::Num(r.incremental_s)),
-        ("fresh_s".into(), Json::Num(r.fresh_s)),
-        ("speedup".into(), Json::Num(r.speedup())),
-        ("remaps_per_s".into(), Json::Num(r.remaps_per_s())),
-        ("remaps".into(), Json::int(r.remaps)),
+    let total = r.total();
+    let mut fields = vec![
+        (
+            "case".into(),
+            Json::str(format!("{} n={}", r.workload, total.n_modes)),
+        ),
+        ("workload".into(), Json::str(&r.workload)),
+        (
+            "crossover_n".into(),
+            r.crossover_n().map_or(Json::Null, |n| Json::int(n as u64)),
+        ),
+        (
+            "points".into(),
+            Json::Arr(
+                r.points
+                    .iter()
+                    .map(|p| Json::Obj(remap_point_fields(p)))
+                    .collect(),
+            ),
+        ),
+    ];
+    fields.extend(remap_point_fields(&total));
+    Json::Obj(fields)
+}
+
+fn remap_point_fields(p: &RemapPoint) -> Vec<(String, Json)> {
+    vec![
+        ("n_modes".into(), Json::int(p.n_modes as u64)),
+        ("steps".into(), Json::int(p.steps as u64)),
+        ("incremental_s".into(), Json::Num(p.incremental_s)),
+        ("fresh_s".into(), Json::Num(p.fresh_s)),
+        ("speedup".into(), Json::Num(p.speedup())),
+        ("remaps_per_s".into(), Json::Num(p.remaps_per_s())),
+        ("remaps".into(), Json::int(p.remaps)),
         (
             "constructions_after_base".into(),
-            Json::int(r.constructions_after_base),
+            Json::int(p.constructions_after_base),
         ),
-    ])
+        ("remap_candidates".into(), Json::int(p.remap_candidates)),
+        ("fresh_candidates".into(), Json::int(p.fresh_candidates)),
+        ("touched_bound".into(), Json::int(p.touched_bound)),
+    ]
 }
 
 /// The `"parallel"` section of the hatt-perf/2 document.
@@ -988,6 +1080,12 @@ mod tests {
         assert!(doc.contains(r#""throughput":{"batch_size":"#));
         assert!(doc.contains(r#""cache_hits":"#));
         assert!(doc.contains(r#""dense":{"workload":"dense_molecule""#));
+        assert!(doc.contains(
+            r#""remap":{"case":"t n=8","workload":"t","crossover_n":8,"points":[{"n_modes":4"#
+        ));
+        assert!(
+            doc.contains(r#""remap_candidates":180,"fresh_candidates":200,"touched_bound":800}"#)
+        );
         assert!(doc.contains(r#""remap":{"case":"#));
         assert!(doc.contains(r#""remaps_per_s":"#));
         assert!(doc.contains(r#""load":{"generator":"open_loop""#));
@@ -1043,15 +1141,31 @@ mod tests {
         }
     }
 
-    fn tiny_remap_study() -> RemapStudy {
-        RemapStudy {
-            case: "t".into(),
+    fn tiny_remap_point() -> RemapPoint {
+        RemapPoint {
             n_modes: 8,
             steps: 4,
             incremental_s: 0.5,
             fresh_s: 2.0,
             remaps: 4,
             constructions_after_base: 0,
+            remap_candidates: 90,
+            fresh_candidates: 100,
+            touched_bound: 400,
+        }
+    }
+
+    fn tiny_remap_study() -> RemapStudy {
+        RemapStudy {
+            workload: "t".into(),
+            points: vec![
+                RemapPoint {
+                    n_modes: 4,
+                    incremental_s: 4.0,
+                    ..tiny_remap_point()
+                },
+                tiny_remap_point(),
+            ],
         }
     }
 
@@ -1112,38 +1226,62 @@ mod tests {
 
     #[test]
     fn remap_study_arithmetic_and_counters() {
-        let r = tiny_remap_study();
-        assert!((r.speedup() - 4.0).abs() < 1e-12);
-        assert!((r.remaps_per_s() - 8.0).abs() < 1e-12);
-        let zero = RemapStudy {
+        let p = tiny_remap_point();
+        assert!((p.speedup() - 4.0).abs() < 1e-12);
+        assert!((p.remaps_per_s() - 8.0).abs() < 1e-12);
+        let zero = RemapPoint {
             incremental_s: 0.0,
-            ..tiny_remap_study()
+            ..tiny_remap_point()
         };
         assert_eq!(zero.speedup(), 0.0);
         assert_eq!(zero.remaps_per_s(), 0.0);
+
+        // Remap loses at N = 4 (×0.5) and wins from N = 8 on.
+        let r = tiny_remap_study();
+        assert_eq!(r.crossover_n(), Some(8));
+        let total = r.total();
+        assert_eq!((total.n_modes, total.steps, total.remaps), (8, 8, 8));
+        assert_eq!(total.remap_candidates, 180);
+        assert!((total.incremental_s - 4.5).abs() < 1e-12);
+        let losing = RemapStudy {
+            points: vec![zero],
+            ..tiny_remap_study()
+        };
+        assert_eq!(losing.crossover_n(), None);
     }
 
     #[test]
     fn remap_study_smoke_rides_the_ancestor_every_step() {
         let r = remap_study(true);
-        assert_eq!(r.steps, 8);
-        assert_eq!(r.remaps, 8, "every edit must remap incrementally");
-        assert_eq!(
-            r.constructions_after_base, 0,
-            "one-term deltas must never construct cold"
-        );
-        assert!(r.incremental_s > 0.0 && r.fresh_s > 0.0);
+        let ns: Vec<usize> = r.points.iter().map(|p| p.n_modes).collect();
+        assert_eq!(ns, [8, 32]);
+        for p in &r.points {
+            let n = p.n_modes;
+            assert_eq!(p.steps, 8);
+            assert_eq!(p.remaps, 8, "N = {n}: every edit must remap incrementally");
+            assert_eq!(
+                p.constructions_after_base, 0,
+                "N = {n}: one-term deltas must never construct cold"
+            );
+            assert!(p.incremental_s > 0.0 && p.fresh_s > 0.0);
+            assert!(
+                p.remap_candidates <= p.fresh_candidates + p.touched_bound,
+                "N = {n}: remap outscored its bound: {p:?}"
+            );
+        }
     }
 
     #[test]
     fn full_remap_stream_finds_an_absent_quad_every_step() {
-        // The non-smoke study: 32 insertions on the 12-mode base, more
-        // than its 21 consecutive quads.
-        let mut current = SweepWorkload::DenseMolecule.hamiltonian(12);
-        for step in 0..32 {
-            let (_, next) = remap_stream_edit(&current, step);
-            assert_eq!(next.n_terms(), current.n_terms() + 1, "step {step}");
-            current = next;
+        // Every point of the non-smoke curve: the 8-mode base has only
+        // 13 consecutive quads for its 16 insertions.
+        for &(n, steps) in remap_points(false) {
+            let mut current = SweepWorkload::DenseMolecule.hamiltonian(n);
+            for step in 0..steps {
+                let (_, next) = remap_stream_edit(&current, step);
+                assert_eq!(next.n_terms(), current.n_terms() + 1, "N = {n} step {step}");
+                current = next;
+            }
         }
     }
 

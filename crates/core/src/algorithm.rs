@@ -326,15 +326,21 @@ pub(crate) fn hatt_with_impl(
     match options.policy {
         SelectionPolicy::Beam { width } => hatt_beam(h, options, width.max(1), Blend::UNIT),
         SelectionPolicy::Restarts => hatt_restarts(h, options),
-        _ => hatt_single(h, options, options.policy.blend()),
+        _ => hatt_single(h, options, options.policy.blend(), None),
     }
 }
 
 /// One policy-driven greedy/lookahead construction pass under `blend`.
+///
+/// With an `ancestor` — the merge sequence of a previous mapping and
+/// the Majorana indices its delta touched — this is the remap kernel
+/// (see [`hatt_remap`]): the heap starts scoped to the delta and is
+/// handed the ancestor's winner while the build still replays it.
 fn hatt_single(
     h: &MajoranaSum,
     options: &HattOptions,
     blend: Blend,
+    ancestor: Option<(&[[NodeId; 3]], &[u32])>,
 ) -> Result<HattMapping, HattError> {
     let n = h.n_modes();
     let start = Instant::now();
@@ -348,8 +354,13 @@ fn hatt_single(
         options.policy,
         SelectionPolicy::Greedy | SelectionPolicy::Vanilla
     );
-    let mut heap = (greedy && options.variant == Variant::Cached)
-        .then(|| CandidateHeap::new(n, options, blend));
+    let mut heap = match ancestor {
+        Some((_, touched)) => Some(CandidateHeap::scoped(n, options, blend, touched)),
+        None => (greedy && options.variant == Variant::Cached)
+            .then(|| CandidateHeap::new(n, options, blend)),
+    };
+    // The ancestor's merge sequence while this build still replays it.
+    let mut replaying = ancestor.map(|(seq, _)| seq);
 
     for qubit in 0..n {
         let mut iter_stats = IterationStats {
@@ -357,12 +368,13 @@ fn hatt_single(
             ..Default::default()
         };
         let next_parent: NodeId = 2 * n + 1 + qubit;
+        let prev = replaying.and_then(|seq| seq.get(qubit).copied());
         // `construct.step` times one qubit's candidate selection — the
         // per-step profiling hook behind the fig12 kernel analysis. A
         // free no-op outside a tracing scope.
         let selection = hatt_trace::span("construct.step", || -> Result<Selection, HattError> {
             if let Some(heap) = heap.as_mut() {
-                return heap.select(&mut engine, &state, &builder, &mut iter_stats);
+                return heap.select(&mut engine, &state, &builder, prev, &mut iter_stats);
             }
             let u = builder.roots();
             Ok(match options.variant {
@@ -394,6 +406,9 @@ fn hatt_single(
                 )?,
             })
         })?;
+        if prev != Some(selection.children) {
+            replaying = None;
+        }
         let [ox, oy, oz] = selection.children;
         iter_stats.settled_weight = selection.weight;
         let parent = builder.attach([ox, oy, oz]);
@@ -402,7 +417,17 @@ fn hatt_single(
         state.record_attach(parent, oz);
         iterations.push(iter_stats);
     }
+    Ok(finish(&engine, builder, iterations, start, options))
+}
 
+/// Wraps a completed build as a [`HattMapping`] with its statistics.
+fn finish(
+    engine: &TermEngine,
+    builder: TernaryTreeBuilder,
+    iterations: Vec<IterationStats>,
+    start: Instant,
+    options: &HattOptions,
+) -> HattMapping {
     let (memo_hits, memo_misses) = engine.memo_stats();
     let stats = ConstructionStats {
         iterations,
@@ -411,13 +436,12 @@ fn hatt_single(
         memo_hits,
         memo_misses,
     };
-    let tree = builder.finish();
-    let mapping = TreeMapping::with_identity_assignment(options.variant.label(), tree);
-    Ok(HattMapping {
+    let mapping = TreeMapping::with_identity_assignment(options.variant.label(), builder.finish());
+    HattMapping {
         mapping,
         stats,
         options: *options,
-    })
+    }
 }
 
 /// A chosen `[X, Y, Z]` child triple and its settled weight.
@@ -443,9 +467,9 @@ fn score_of(
 }
 
 /// Algorithm 2/3 selection by full scan: free `(O_X, O_Z)`, derived
-/// `O_Y`. This is the reference path ([`Variant::Paired`]), the
-/// lookahead's shortlist scan, and the remap kernel's touched-winner
-/// fallback; the cached greedy policies use [`CandidateHeap`] instead.
+/// `O_Y`. This is the reference path ([`Variant::Paired`]) and the
+/// lookahead's shortlist scan; the cached greedy policies and the remap
+/// kernel use [`CandidateHeap`] instead.
 ///
 /// When `walk` is `Some`, `descZ` / `traverse_up` literally walk the
 /// partial tree inside the selection loop, exactly as Algorithm 2's
@@ -902,20 +926,7 @@ fn hatt_beam(
     for &triple in &best.seq {
         builder.attach(triple);
     }
-    let (memo_hits, memo_misses) = best.engine.memo_stats();
-    let stats = ConstructionStats {
-        iterations,
-        n_terms: best.engine.n_terms(),
-        elapsed: start.elapsed(),
-        memo_hits,
-        memo_misses,
-    };
-    let mapping = TreeMapping::with_identity_assignment(options.variant.label(), builder.finish());
-    Ok(HattMapping {
-        mapping,
-        stats,
-        options: *options,
-    })
+    Ok(finish(&best.engine, builder, iterations, start, options))
 }
 
 /// The merge sequence whose tree is the Jordan-Wigner caterpillar
@@ -958,20 +969,7 @@ pub(crate) fn hatt_replay(
             ..Default::default()
         });
     }
-    let (memo_hits, memo_misses) = engine.memo_stats();
-    let stats = ConstructionStats {
-        iterations,
-        n_terms: engine.n_terms(),
-        elapsed: start.elapsed(),
-        memo_hits,
-        memo_misses,
-    };
-    let mapping = TreeMapping::with_identity_assignment(options.variant.label(), builder.finish());
-    HattMapping {
-        mapping,
-        stats,
-        options: *options,
-    }
+    finish(&engine, builder, iterations, start, options)
 }
 
 /// Whether `options` admit the incremental remap kernel
@@ -994,142 +992,44 @@ pub(crate) fn remap_supported(options: &HattOptions) -> bool {
 /// `h` is the *new* (post-delta) Hamiltonian, `prev_seq` the merge
 /// sequence of the previous mapping (same mode count, options passing
 /// [`remap_supported`]), and `touched` the Majorana indices whose terms
-/// the delta added or removed. Produces output **bit-identical** to
-/// `hatt_single(h, options, blend)` — tree, merge sequence and per-step
-/// settled weights — while re-scoring only the frontier the delta can
-/// influence (`tests/remap_differential.rs` pins the equivalence).
+/// the delta added or removed. Produces output **bit-identical** to a
+/// fresh `hatt_single(h, options, blend, None)` — tree, merge sequence
+/// and per-step settled weights (`tests/remap_differential.rs` pins the
+/// equivalence).
 ///
-/// Why this is sound: a candidate triple whose three subtrees contain
-/// no touched leaf interacts with no added/removed term, so its
-/// [`TripleScore`] — per-triple counts only — is the same in the old
-/// and new engines. While the replayed prefix matches the old tree and
-/// the previous winner is itself untouched, the old winner therefore
-/// still dominates every untouched candidate, and the true new winner
-/// can only be the old winner or a *touched* candidate. Scoring just
-/// that subset (in enumeration order, under the same strict-`<`
-/// first-wins rule) reproduces the full scan's choice exactly. The
-/// moment the previous winner is touched, the step falls back to a full
-/// scan; the moment the choice diverges from `prev_seq`, the remaining
-/// steps are a plain greedy construction ([`select_paired`] with the
-/// Algorithm 3 maps — valid for `Paired` too, which differs from
-/// `Cached` only in traversal accounting, never in results).
+/// It runs on one kernel, a [`CandidateHeap`] scoped to the delta. A
+/// candidate whose three subtrees hold no touched leaf meets no
+/// added/removed term, so its [`TripleScore`] — per-triple counts only —
+/// is the same in the old and new engines. While the build matches the
+/// ancestor and the ancestor's winner is untouched, that winner still
+/// beats every untouched candidate, so the heap scores only the touched
+/// ones and elects the smaller of the two. At the first step where the
+/// ancestor's winner is touched, or after a touched candidate won, the
+/// heap scores the untouched candidates once and finishes as the cold
+/// greedy heap. The remap scores at most what a cold build scores, plus
+/// the ancestor's winner once per replayed step (pinned by the work
+/// counter gate in `tests/remap_differential.rs`). `Variant::Paired`
+/// runs on the heap too: it differs from `Cached` only in traversal
+/// accounting, never in results.
 pub(crate) fn hatt_remap(
     h: &MajoranaSum,
     options: &HattOptions,
     prev_seq: &[[NodeId; 3]],
     touched: &[u32],
 ) -> Result<HattMapping, HattError> {
-    let n = h.n_modes();
-    debug_assert!(n >= 1, "caller gates on EmptyHamiltonian");
-    debug_assert_eq!(prev_seq.len(), n, "caller gates on sequence length");
+    debug_assert!(h.n_modes() >= 1, "caller gates on EmptyHamiltonian");
+    debug_assert_eq!(
+        prev_seq.len(),
+        h.n_modes(),
+        "caller gates on sequence length"
+    );
     debug_assert!(remap_supported(options), "caller gates on remap_supported");
-    let blend = options.policy.blend();
-    let start = Instant::now();
-    let mut engine = TermEngine::new(h);
-    let mut builder = TernaryTreeBuilder::new(n);
-    let mut state = PairingState::new(n);
-    let mut iterations = Vec::with_capacity(n);
-    // `touched_node[v]`: v's subtree contains a leaf the delta touched.
-    // Seeded at the leaves, propagated to each attached parent below.
-    let mut touched_node = vec![false; 3 * n + 1];
-    for &i in touched {
-        if (i as usize) < 2 * n {
-            touched_node[i as usize] = true;
-        }
-    }
-    let mut diverged = false;
-    // The post-divergence tail: a plain greedy construction on the
-    // candidate heap, seeded from the node set at the first diverged step.
-    let mut heap: Option<CandidateHeap> = None;
-
-    for (qubit, &prev) in prev_seq.iter().enumerate() {
-        let mut iter_stats = IterationStats {
-            qubit,
-            ..Default::default()
-        };
-        let next_parent: NodeId = 2 * n + 1 + qubit;
-        let prev_touched = prev.iter().any(|&v| touched_node[v]);
-        let selection = if diverged {
-            heap.get_or_insert_with(|| CandidateHeap::new(n, options, blend))
-                .select(&mut engine, &state, &builder, &mut iter_stats)?
-        } else if prev_touched {
-            // Full scan. The tree still matches the old prefix, so this
-            // may well re-elect `prev` (the delta touched it without
-            // dethroning it), in which case later steps resume the fast
-            // path.
-            select_paired(
-                &mut engine,
-                None,
-                &builder.roots(),
-                n,
-                options,
-                blend,
-                next_parent,
-                &mut iter_stats,
-                &mut state,
-            )?
-        } else {
-            // Fast path: the previous winner is untouched, so only it
-            // and the touched candidates can win. Same enumeration
-            // order and strict-`<` first-wins rule as the full scan.
-            let mut best: Option<(TripleScore, [NodeId; 3])> = None;
-            {
-                let engine = &mut engine;
-                let counted = &mut iter_stats.candidates;
-                for_each_paired_candidate(&state, &builder.roots(), n, |cx, cy, cz| {
-                    let children = [cx, cy, cz];
-                    if children != prev
-                        && !(touched_node[cx] || touched_node[cy] || touched_node[cz])
-                    {
-                        return;
-                    }
-                    *counted += 1;
-                    let score = score_of(engine, options, blend, cx, cy, cz);
-                    if best.as_ref().is_none_or(|b| score < b.0) {
-                        best = Some((score, children));
-                    }
-                });
-            }
-            // Infallible: `prev` itself is always enumerated — the
-            // replayed prefix reproduces the node set and pairing maps
-            // under which it was originally selected.
-            debug_assert!(best.is_some(), "previous winner must be a candidate");
-            let (score, children) = best.ok_or(HattError::Internal(
-                "remap step found no candidate although the previous winner is one",
-            ))?;
-            Selection {
-                children,
-                weight: score.weight,
-            }
-        };
-        if !diverged && selection.children != prev {
-            diverged = true;
-        }
-        let [ox, oy, oz] = selection.children;
-        iter_stats.settled_weight = selection.weight;
-        let parent = builder.attach([ox, oy, oz]);
-        debug_assert_eq!(parent, next_parent);
-        engine.reduce(parent, ox, oy, oz);
-        state.record_attach(parent, oz);
-        touched_node[parent] = touched_node[ox] || touched_node[oy] || touched_node[oz];
-        iterations.push(iter_stats);
-    }
-
-    let (memo_hits, memo_misses) = engine.memo_stats();
-    let stats = ConstructionStats {
-        iterations,
-        n_terms: engine.n_terms(),
-        elapsed: start.elapsed(),
-        memo_hits,
-        memo_misses,
-    };
-    let tree = builder.finish();
-    let mapping = TreeMapping::with_identity_assignment(options.variant.label(), tree);
-    Ok(HattMapping {
-        mapping,
-        stats,
-        options: *options,
-    })
+    hatt_single(
+        h,
+        options,
+        options.policy.blend(),
+        Some((prev_seq, touched)),
+    )
 }
 
 /// Runs one [`PortfolioMember`] of the restarts portfolio as a complete,
@@ -1148,6 +1048,7 @@ fn run_portfolio_member(
                 ..*options
             },
             blend,
+            None,
         ),
         PortfolioMember::Beam { width } => hatt_beam(
             h,

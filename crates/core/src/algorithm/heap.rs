@@ -1,4 +1,5 @@
-//! The incremental candidate heap behind greedy Algorithm 3.
+//! The incremental candidate heap behind greedy Algorithm 3 and the
+//! remap kernel.
 //!
 //! A paired candidate is a pair of current roots `{lo, hi}` (the X/Y
 //! children, matched through their Z-descendant leaves) plus a third
@@ -30,6 +31,28 @@
 //! `O_X = min(lo, hi)` — so this order is exactly the scan's tie-break,
 //! and the heap elects bit-identical winners (`tests/kernel_differential.rs`
 //! pins it against [`Variant::Paired`](super::Variant::Paired)).
+//!
+//! # Scope: the remap kernel
+//!
+//! A remap rebuilds after a delta that added or removed terms on a few
+//! *touched* Majorana indices, replaying the ancestor's merge sequence.
+//! A node is touched when its subtree holds a touched leaf; a candidate
+//! naming no touched node meets no edited term, so it scores the same
+//! as in the ancestor's build. A [`CandidateHeap::scoped`] heap holds
+//! only the *in-scope* facts — those naming a touched node — scored once
+//! and reused across steps like any fact; a new parent adds only the
+//! in-scope part of its row and column. While the build still matches
+//! the ancestor and the ancestor's winner `prev` is untouched, `prev`
+//! beats every untouched candidate, so the step winner is the smaller of
+//! `prev` and the top in-scope fact under the pop order.
+//!
+//! That argument breaks at the first step where `prev` is touched, or
+//! after a touched fact beat `prev` (the build left the ancestor). There
+//! the heap *widens*: it scores every untouched fact over the current
+//! node set once — the facts a cold build would already hold — and runs
+//! as the plain greedy heap to the end. A remap therefore scores at most
+//! what the cold build of the edited Hamiltonian scores, plus one score
+//! of `prev` per replayed step.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,18 +85,22 @@ const _: () = assert!(std::mem::size_of::<Reverse<Fact>>() <= 24);
 ///
 /// Each [`CandidateHeap::select`] first scores what the previous merge
 /// created, then returns the best live candidate. The first call scores
-/// every candidate of the node set it finds, so a heap can take over a
-/// construction at any step (the remap kernel starts one mid-build).
+/// every in-scope candidate of the node set it finds.
 #[derive(Debug)]
 pub(super) struct CandidateHeap {
     heap: BinaryHeap<Reverse<Fact>>,
     /// The newest root already scored; `None` before the first select.
     newest: Option<NodeId>,
-    /// Live facts over the current node set: pairs × (|U| − 2).
+    /// Live facts over the current node set, pairs × (|U| − 2) — an
+    /// upper bound on the live in-scope ones while scoped.
     live: usize,
     n: usize,
     options: HattOptions,
     blend: Blend,
+    /// `Some(touched)` while the heap is scoped to a remap's delta:
+    /// `touched[v]` marks a node whose subtree holds a touched leaf.
+    /// `None` holds every fact.
+    scope: Option<Vec<bool>>,
 }
 
 impl CandidateHeap {
@@ -86,18 +113,41 @@ impl CandidateHeap {
             n,
             options: *options,
             blend,
+            scope: None,
+        }
+    }
+
+    /// An empty heap for a remap whose delta touched the Majorana
+    /// indices `touched`; it holds only in-scope facts until it widens.
+    pub(super) fn scoped(n: usize, options: &HattOptions, blend: Blend, touched: &[u32]) -> Self {
+        let mut scope = vec![false; 3 * n + 1];
+        for &i in touched {
+            if (i as usize) < 2 * n {
+                scope[i as usize] = true;
+            }
+        }
+        CandidateHeap {
+            scope: Some(scope),
+            ..CandidateHeap::new(n, options, blend)
         }
     }
 
     /// Scores the candidates the last merge created (or, on the first
-    /// call, every candidate of the current node set) and returns the
-    /// best live one as ordered `[X, Y, Z]` children. The winner stays
-    /// in the heap; once the caller attaches it, it is stale and drops.
+    /// call, every in-scope candidate of the current node set) and
+    /// returns the best live one as ordered `[X, Y, Z]` children. The
+    /// winner stays in the heap; once the caller attaches it, it is
+    /// stale and drops.
+    ///
+    /// `prev` is the ancestor's winner at this step while a remap still
+    /// replays the ancestor, `None` otherwise. A scoped heap elects the
+    /// smaller of an untouched `prev` and the top in-scope fact, and
+    /// widens first when there is no untouched `prev` to compare with.
     pub(super) fn select(
         &mut self,
         engine: &mut TermEngine,
         state: &PairingState,
         builder: &TernaryTreeBuilder,
+        prev: Option<[NodeId; 3]>,
         stats: &mut IterationStats,
     ) -> Result<Selection, HattError> {
         let u = builder.roots();
@@ -105,11 +155,21 @@ impl CandidateHeap {
         // root, so the newest node is the last one.
         let newest = u.last().copied();
         if self.newest.is_none() {
-            self.seed(engine, state, &u, stats);
+            self.score_all(engine, state, &u, true, stats);
         } else if let Some(p) = newest.filter(|&p| Some(p) != self.newest) {
-            self.push_parent(engine, state, &u, p, stats);
+            self.push_parent(engine, state, builder, &u, p, stats);
         }
         self.newest = newest;
+        let prev = prev.filter(|p| {
+            self.scope
+                .as_ref()
+                .is_some_and(|touched| !p.iter().any(|&v| touched[v]))
+        });
+        if self.scope.is_some() && prev.is_none() {
+            // Widen: add the untouched facts and drop the scope.
+            self.score_all(engine, state, &u, false, stats);
+            self.scope = None;
+        }
         if self.heap.len() > 2 * self.live {
             self.heap.retain(|f| is_live(builder, &f.0));
         }
@@ -121,14 +181,25 @@ impl CandidateHeap {
                 top => break top.map(|r| r.0),
             }
         };
-        // Infallible for every reachable input: `|U| >= 3` always admits
-        // a paired candidate (see `select_paired`), and every live
-        // candidate has been pushed.
-        debug_assert!(best.is_some(), "candidate heap ran dry");
-        let top = best.ok_or(HattError::Internal(
-            "candidate heap found no candidate although |U| >= 3",
-        ))?;
-        let (lo, hi, z) = (top.lo as NodeId, top.hi as NodeId, top.z as NodeId);
+        let (lo, hi, z) = match (prev, best) {
+            (Some([x, y, z]), Some(top)) => {
+                stats.candidates += 1;
+                let prev = self.fact(engine, x.min(y), x.max(y), z);
+                let win = top.min(prev);
+                (win.lo as NodeId, win.hi as NodeId, win.z as NodeId)
+            }
+            (Some([x, y, z]), None) => (x.min(y), x.max(y), z),
+            (None, best) => {
+                // Infallible for every reachable input: `|U| >= 3`
+                // always admits a paired candidate (see `select_paired`),
+                // and every live candidate has been pushed.
+                debug_assert!(best.is_some(), "candidate heap ran dry");
+                let top = best.ok_or(HattError::Internal(
+                    "candidate heap found no candidate although |U| >= 3",
+                ))?;
+                (top.lo as NodeId, top.hi as NodeId, top.z as NodeId)
+            }
+        };
         // The X branch takes the even leaf of the pair (Algorithm 2 line
         // 15), as in the full scan.
         let children = if state.mdown[lo] % 2 == 0 {
@@ -142,66 +213,77 @@ impl CandidateHeap {
         })
     }
 
-    /// Scores every paired candidate over the node set `u`.
-    fn seed(
+    /// Scores every paired candidate over the node set `u` that is in
+    /// scope (`in_scope`) or out of it (`!in_scope`), and heapifies them
+    /// together with the facts already held.
+    fn score_all(
         &mut self,
         engine: &mut TermEngine,
         state: &PairingState,
         u: &[NodeId],
+        in_scope: bool,
         stats: &mut IterationStats,
     ) {
-        let mut facts = Vec::new();
-        let mut pairs = 0;
-        for &lo in u {
-            let Some(hi) = partner(state, self.n, lo).filter(|&hi| lo < hi) else {
-                continue;
-            };
-            pairs += 1;
+        let mut facts = std::mem::take(&mut self.heap).into_vec();
+        let before = facts.len();
+        let mut pairs_seen = 0;
+        for (lo, hi) in pairs(state, self.n, u) {
+            pairs_seen += 1;
             for &z in u {
-                if z != lo && z != hi {
+                if z != lo && z != hi && self.in_scope(lo, hi, z) == in_scope {
                     facts.push(Reverse(self.fact(engine, lo, hi, z)));
                 }
             }
         }
-        stats.candidates += facts.len() as u64;
-        self.live = pairs * (u.len() - 2);
+        stats.candidates += (facts.len() - before) as u64;
+        self.live = pairs_seen * (u.len() - 2);
         self.heap = BinaryHeap::from(facts);
     }
 
-    /// Scores the row and column of the new root `parent` over the node
-    /// set `u` (which contains it).
+    /// Scores the in-scope row and column of the new root `parent` over
+    /// the node set `u` (which contains it).
     fn push_parent(
         &mut self,
         engine: &mut TermEngine,
         state: &PairingState,
+        builder: &TernaryTreeBuilder,
         u: &[NodeId],
         parent: NodeId,
         stats: &mut IterationStats,
     ) {
+        if let (Some(touched), Some(children)) = (&mut self.scope, builder.children_of(parent)) {
+            touched[parent] = children.iter().any(|&c| touched[c]);
+        }
         let before = self.heap.len();
-        let mut pairs = 0;
+        let mut pairs_seen = 0;
         if let Some(r) = partner(state, self.n, parent) {
-            pairs += 1;
+            pairs_seen += 1;
             let (lo, hi) = (parent.min(r), parent.max(r));
             for &z in u {
-                if z != lo && z != hi {
+                if z != lo && z != hi && self.in_scope(lo, hi, z) {
                     let fact = self.fact(engine, lo, hi, z);
                     self.heap.push(Reverse(fact));
                 }
             }
         }
-        for &lo in u {
-            let Some(hi) = partner(state, self.n, lo).filter(|&hi| lo < hi) else {
-                continue;
-            };
+        for (lo, hi) in pairs(state, self.n, u) {
             if lo != parent && hi != parent {
-                pairs += 1;
-                let fact = self.fact(engine, lo, hi, parent);
-                self.heap.push(Reverse(fact));
+                pairs_seen += 1;
+                if self.in_scope(lo, hi, parent) {
+                    let fact = self.fact(engine, lo, hi, parent);
+                    self.heap.push(Reverse(fact));
+                }
             }
         }
         stats.candidates += (self.heap.len() - before) as u64;
-        self.live = pairs * (u.len() - 2);
+        self.live = pairs_seen * (u.len() - 2);
+    }
+
+    /// Whether the candidate `{lo, hi}` × `z` belongs in the heap.
+    fn in_scope(&self, lo: NodeId, hi: NodeId, z: NodeId) -> bool {
+        self.scope
+            .as_ref()
+            .is_none_or(|touched| touched[lo] || touched[hi] || touched[z])
     }
 
     fn fact(&self, engine: &mut TermEngine, lo: NodeId, hi: NodeId, z: NodeId) -> Fact {
@@ -214,6 +296,19 @@ impl CandidateHeap {
             hi: hi as u32,
         }
     }
+}
+
+/// The pairs `{lo, hi}` (`lo < hi`) of the node set `u`.
+fn pairs<'a>(
+    state: &'a PairingState,
+    n: usize,
+    u: &'a [NodeId],
+) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+    u.iter().filter_map(move |&lo| {
+        partner(state, n, lo)
+            .filter(|&hi| lo < hi)
+            .map(|hi| (lo, hi))
+    })
 }
 
 /// The root paired with `root`: the owner of the partner of its

@@ -618,25 +618,25 @@ impl MappingCache {
             // observability, and the persistent tier (if any) still
             // works — it is a separate knob.
             self.lock().misses += 1;
-            let structure = Structure::of(h);
-            if let Some(tier) = &self.store {
-                if let Some(seq) = span("store.load", || tier.load(&structure, &norm)) {
+            // The structure is only a store key here: build it only
+            // when there is a store.
+            let tier = self.store.as_ref().map(|tier| (tier, Structure::of(h)));
+            if let Some((tier, structure)) = &tier {
+                if let Some(seq) = span("store.load", || tier.load(structure, &norm)) {
                     return Ok(span("cache.replay", || hatt_replay(h, options, &seq)));
                 }
             }
             if let Some(mapping) = self.remap_from_ancestor(h, options, &norm, ancestor)? {
-                if let Some(tier) = &self.store {
+                if let Some((tier, structure)) = &tier {
                     span("store.save", || {
-                        tier.save(&structure, &norm, &mapping, ancestor.map(|(s, _)| s.hash()));
+                        tier.save(structure, &norm, &mapping, ancestor.map(|(s, _)| s.hash()));
                     });
                 }
                 return Ok(mapping);
             }
             let mapping = self.construct(h, options)?;
-            if let Some(tier) = &self.store {
-                span("store.save", || {
-                    tier.save(&structure, &norm, &mapping, None)
-                });
+            if let Some((tier, structure)) = &tier {
+                span("store.save", || tier.save(structure, &norm, &mapping, None));
             }
             return Ok(mapping);
         }

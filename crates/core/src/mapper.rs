@@ -152,9 +152,12 @@ impl Mapper {
     /// settled weights (`tests/remap_differential.rs` pins this) — the
     /// delta only changes how much selection work runs: when the
     /// previous structure's tree is still cached (either tier) and the
-    /// options admit the incremental kernel, only candidate triples the
-    /// delta touches are re-scored. [`MappingCache::remaps`] counts the
-    /// incremental rebuilds.
+    /// options admit the incremental kernel, the rebuild replays that
+    /// tree and scores only the candidates the delta touches until the
+    /// first step the delta can change; from there it finishes as a
+    /// cold greedy build. It never scores more than a cold build plus
+    /// `3N + 1` candidates per touched Majorana index.
+    /// [`MappingCache::remaps`] counts the incremental rebuilds.
     ///
     /// # Errors
     ///

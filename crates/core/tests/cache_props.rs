@@ -130,3 +130,32 @@ proptest! {
         }
     }
 }
+
+/// Store records and shard placement are keyed on `structure_key`, so
+/// its values are a persistent format: any refactor of the hash must
+/// reproduce these exactly, or old store files stop resolving.
+#[test]
+fn structure_keys_are_golden() {
+    let h2 = hatt_fermion::models::molecule_catalog()
+        .into_iter()
+        .find(|spec| spec.name == "H2 sto3g")
+        .expect("H2 is in the catalog");
+    let mut h2 = MajoranaSum::from_fermion(&h2.hamiltonian());
+    let _ = h2.take_identity();
+    h2.prune(1e-10);
+    for (name, h, key) in [
+        (
+            "uniform_singles(5)",
+            MajoranaSum::uniform_singles(5),
+            0x13ee_a2e1_c467_abcb_u64,
+        ),
+        ("preprocessed H2", h2, 0xdff9_6ffe_1d05_42af),
+        (
+            "random_hermitian(6, 5, 4, 7)",
+            random_majorana_sum(6, 7),
+            0x158b_8ad1_e44d_4883,
+        ),
+    ] {
+        assert_eq!(structure_key(&h), key, "{name}: {:#x}", structure_key(&h));
+    }
+}

@@ -354,6 +354,11 @@ impl TernaryTreeBuilder {
         self.children[node].map(|ch| ch[Branch::Z.index()])
     }
 
+    /// The `[X, Y, Z]` children of `node`, or `None` while it has none.
+    pub fn children_of(&self, node: NodeId) -> Option<[NodeId; 3]> {
+        self.children[node]
+    }
+
     /// The current parent of `node`, or `None` while it is a root.
     pub fn parent_of(&self, node: NodeId) -> Option<NodeId> {
         self.parent[node].map(|(p, _)| p)

@@ -7,8 +7,8 @@
 //! Covered: the `Greedy` and `Vanilla` policies with the `naive_weight`
 //! ablation on and off, over the Table I catalog, the neutrino 3x2F–5x2F
 //! models, 200+ random Hamiltonians at N = 2..31, and the tie-heavy
-//! `uniform_singles` chain at N = 1..64 — plus `Mapper::remap` chains
-//! whose post-divergence tail runs on the same heap, diverging both at
+//! `uniform_singles` chain at N = 1..64 — plus `Mapper::remap` chains,
+//! which run on the same heap scoped to the delta, diverging both at
 //! step 0 and mid-construction.
 
 // Test-harness code unwraps freely; the no-panic contract covers library code only.

@@ -465,3 +465,202 @@ fn remap_chain_over_the_hattd_socket_is_bit_identical_and_avoids_cold_builds() {
     assert!(stats.constructions < (k + 1) as u64);
     server.shutdown();
 }
+
+/// One single-term edit: an absent random support is added, or (40%)
+/// an existing term is removed.
+fn one_term_delta(rng: &mut StdRng, h: &MajoranaSum) -> HamiltonianDelta {
+    let mut delta = HamiltonianDelta::new(h.n_modes());
+    if h.n_terms() > 1 && rng.gen_bool(0.4) {
+        let terms: Vec<(Vec<u32>, Complex64)> = h.iter().map(|(s, c)| (s.to_vec(), c)).collect();
+        let (support, coeff) = terms[rng.gen_range(0..terms.len())].clone();
+        delta.push_remove(coeff, &support).expect("removal applies");
+    } else {
+        let support = random_absent_support(rng, h);
+        let coeff = hermitian_coeff(support.len(), 0.5);
+        delta.push_add(coeff, &support).expect("insertion applies");
+    }
+    delta
+}
+
+/// A mapper whose cache holds only `h`.
+fn warm(h: &MajoranaSum) -> Mapper {
+    let mapper = Mapper::new();
+    mapper.map(h).expect("base maps");
+    mapper
+}
+
+/// Remaps `delta` on `mapper` (whose cache holds `current`), checks the
+/// result against a fresh build, and enforces the kernel's work bound:
+/// a remap scores at most what the cold build of the edited
+/// Hamiltonian scores, plus `3N + 1` per touched Majorana index.
+/// Returns `(remap, cold)`.
+fn remap_within_bound(
+    ctx: &str,
+    mapper: &Mapper,
+    current: &MajoranaSum,
+    delta: &HamiltonianDelta,
+) -> (HattMapping, HattMapping) {
+    let next = delta.apply(current).expect("delta applies");
+    let remaps = mapper.cache().remaps();
+    let remapped = mapper
+        .remap(current, delta)
+        .unwrap_or_else(|e| panic!("{ctx}: remap: {e}"));
+    assert_eq!(mapper.cache().remaps(), remaps + 1, "{ctx}: not a remap");
+    let cold = Mapper::new()
+        .map(&next)
+        .unwrap_or_else(|e| panic!("{ctx}: fresh map: {e}"));
+    assert_equiv(ctx, &next, &remapped, &cold, false);
+    let n = next.n_modes() as u64;
+    let touched = delta.support_touched().len() as u64;
+    let (got, fresh) = (
+        remapped.stats().total_candidates(),
+        cold.stats().total_candidates(),
+    );
+    assert!(
+        got <= fresh + touched * (3 * n + 1),
+        "{ctx}: remap scored {got} candidates, cold build {fresh}, {touched} touched at N = {n}"
+    );
+    (remapped, cold)
+}
+
+#[test]
+fn one_term_remaps_score_at_most_a_cold_build_plus_the_touched_bound() {
+    let mut bases: Vec<(String, MajoranaSum)> = full_roster()
+        .into_iter()
+        .map(|(name, h, _)| (name, h))
+        .collect();
+    bases.push((
+        "uniform_singles(64)".into(),
+        MajoranaSum::uniform_singles(64),
+    ));
+    bases.push((
+        "dense n=32".into(),
+        preprocess(&random_hermitian(32, 64, 128, 0xDE5E + 32)),
+    ));
+    for (i, (name, base)) in bases.iter().enumerate() {
+        let mapper = warm(base);
+        let mut rng = StdRng::seed_from_u64(0x6A7E + i as u64);
+        let mut current = base.clone();
+        for step in 0..3 {
+            let delta = one_term_delta(&mut rng, &current);
+            remap_within_bound(&format!("{name} edit {step}"), &mapper, &current, &delta);
+            current = delta.apply(&current).expect("delta applies");
+        }
+    }
+}
+
+#[test]
+fn an_edit_touching_the_first_winner_widens_at_step_zero() {
+    for (i, base) in [
+        preprocess(&NeutrinoModel::new(3, 2).hamiltonian()),
+        preprocess(&random_hermitian(10, 12, 10, 41)),
+        MajoranaSum::uniform_singles(16),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mapper = Mapper::new();
+        let prev = mapper.map(base).expect("base maps");
+        let tree = prev.tree();
+        let first = tree
+            .children(tree.internal_of(0))
+            .expect("internal nodes have children");
+        // The X/Y children of the first merge are a leaf pair, both
+        // Majorana indices.
+        let leaf = first[0].min(first[1]) as u32;
+        let mut rng = StdRng::seed_from_u64(0x57E0 + i as u64);
+        let support = loop {
+            let other = rng.gen_range(0..2 * base.n_modes()) as u32;
+            let mut s = vec![leaf, other];
+            s.sort_unstable();
+            if other != leaf && base.coefficient_of(&s).is_zero(EPS) {
+                break s;
+            }
+        };
+        let mut delta = HamiltonianDelta::new(base.n_modes());
+        delta
+            .push_add(hermitian_coeff(2, 0.5), &support)
+            .expect("insertion applies");
+        let ctx = format!("base {i}");
+        let (remapped, cold) = remap_within_bound(&ctx, &mapper, base, &delta);
+        // Widened before the first selection, the remap is the cold
+        // heap from step 0 on: the same work, step for step.
+        let per_step = |m: &HattMapping| -> Vec<u64> {
+            m.stats()
+                .iterations
+                .iter()
+                .map(|it| it.candidates)
+                .collect()
+        };
+        assert_eq!(per_step(&remapped), per_step(&cold), "{ctx}");
+    }
+}
+
+#[test]
+fn a_composed_delta_touching_eight_leaves_remaps_within_bound() {
+    for (i, base) in [
+        preprocess(&random_hermitian(12, 14, 12, 51)),
+        MajoranaSum::uniform_singles(24),
+        preprocess(&NeutrinoModel::new(4, 2).hamiltonian()),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mapper = warm(base);
+        let mut rng = StdRng::seed_from_u64(0xC8 + i as u64);
+        let mut composed = HamiltonianDelta::new(base.n_modes());
+        let mut work = base.clone();
+        while composed.support_touched().len() < 8 {
+            let d = one_term_delta(&mut rng, &work);
+            work = d.apply(&work).expect("delta applies");
+            composed = composed.compose(&d).expect("same mode count");
+        }
+        remap_within_bound(&format!("composed {i}"), &mapper, base, &composed);
+    }
+}
+
+#[test]
+fn one_and_two_mode_hamiltonians_remap_bit_identically() {
+    // N = 1: three leaves, one merge. Every edit below applies to the
+    // state the previous one left.
+    let mut h1 = MajoranaSum::new(1);
+    h1.add(Complex64::ONE, &[0]);
+    let edits: [(&[u32], f64); 4] = [(&[1], 0.5), (&[0, 1], 0.25), (&[0], -1.0), (&[1], -0.5)];
+    let mut current = h1;
+    for (step, (support, c)) in edits.into_iter().enumerate() {
+        let mut delta = HamiltonianDelta::new(1);
+        let existing = current.coefficient_of(support);
+        if existing.is_zero(EPS) {
+            delta
+                .push_add(hermitian_coeff(support.len(), c), support)
+                .expect("insertion applies");
+        } else {
+            delta
+                .push_remove(existing, support)
+                .expect("removal applies");
+        }
+        remap_within_bound(
+            &format!("n=1 edit {step}"),
+            &warm(&current),
+            &current,
+            &delta,
+        );
+        current = delta.apply(&current).expect("delta applies");
+    }
+
+    // N = 2: random one-term edits on a molecule-shaped instance. The
+    // chain may revisit a structure, which a shared cache would serve as
+    // a hit, so each edit remaps on a mapper holding only its ancestor.
+    let mut current = preprocess(&random_hermitian(2, 2, 1, 3));
+    let mut rng = StdRng::seed_from_u64(0x2);
+    for step in 0..6 {
+        let delta = one_term_delta(&mut rng, &current);
+        remap_within_bound(
+            &format!("n=2 edit {step}"),
+            &warm(&current),
+            &current,
+            &delta,
+        );
+        current = delta.apply(&current).expect("delta applies");
+    }
+}
