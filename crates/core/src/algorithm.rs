@@ -334,8 +334,8 @@ pub(crate) fn hatt_with_impl(
 ///
 /// With an `ancestor` — the merge sequence of a previous mapping and
 /// the Majorana indices its delta touched — this is the remap kernel
-/// (see [`hatt_remap`]): the heap starts scoped to the delta and is
-/// handed the ancestor's winner while the build still replays it.
+/// (see [`hatt_remap`]): the heap starts scoped to the delta and
+/// replays the ancestor until the delta can change a step.
 fn hatt_single(
     h: &MajoranaSum,
     options: &HattOptions,
@@ -355,12 +355,10 @@ fn hatt_single(
         SelectionPolicy::Greedy | SelectionPolicy::Vanilla
     );
     let mut heap = match ancestor {
-        Some((_, touched)) => Some(CandidateHeap::scoped(n, options, blend, touched)),
+        Some((seq, touched)) => Some(CandidateHeap::scoped(n, options, blend, seq, touched)),
         None => (greedy && options.variant == Variant::Cached)
             .then(|| CandidateHeap::new(n, options, blend)),
     };
-    // The ancestor's merge sequence while this build still replays it.
-    let mut replaying = ancestor.map(|(seq, _)| seq);
 
     for qubit in 0..n {
         let mut iter_stats = IterationStats {
@@ -368,13 +366,12 @@ fn hatt_single(
             ..Default::default()
         };
         let next_parent: NodeId = 2 * n + 1 + qubit;
-        let prev = replaying.and_then(|seq| seq.get(qubit).copied());
         // `construct.step` times one qubit's candidate selection — the
         // per-step profiling hook behind the fig12 kernel analysis. A
         // free no-op outside a tracing scope.
         let selection = hatt_trace::span("construct.step", || -> Result<Selection, HattError> {
             if let Some(heap) = heap.as_mut() {
-                return heap.select(&mut engine, &state, &builder, prev, &mut iter_stats);
+                return heap.select(&mut engine, &state, &builder, &mut iter_stats);
             }
             let u = builder.roots();
             Ok(match options.variant {
@@ -406,9 +403,6 @@ fn hatt_single(
                 )?,
             })
         })?;
-        if prev != Some(selection.children) {
-            replaying = None;
-        }
         let [ox, oy, oz] = selection.children;
         iter_stats.settled_weight = selection.weight;
         let parent = builder.attach([ox, oy, oz]);
@@ -1006,9 +1000,9 @@ pub(crate) fn remap_supported(options: &HattOptions) -> bool {
 /// ones and elects the smaller of the two. At the first step where the
 /// ancestor's winner is touched, or after a touched candidate won, the
 /// heap scores the untouched candidates once and finishes as the cold
-/// greedy heap. The remap scores at most what a cold build scores, plus
-/// the ancestor's winner once per replayed step (pinned by the work
-/// counter gate in `tests/remap_differential.rs`). `Variant::Paired`
+/// greedy heap. The remap scores at most one candidate more than a cold
+/// build (pinned by the work counter gate in
+/// `tests/remap_differential.rs`). `Variant::Paired`
 /// runs on the heap too: it differs from `Cached` only in traversal
 /// accounting, never in results.
 pub(crate) fn hatt_remap(

@@ -50,9 +50,14 @@
 //! after a touched fact beat `prev` (the build left the ancestor). There
 //! the heap *widens*: it scores every untouched fact over the current
 //! node set once — the facts a cold build would already hold — and runs
-//! as the plain greedy heap to the end. A remap therefore scores at most
-//! what the cold build of the edited Hamiltonian scores, plus one score
-//! of `prev` per replayed step.
+//! as the plain greedy heap to the end.
+//!
+//! Both builds pass through the same node sets, so every fact a remap
+//! scores is one the cold build of the edited Hamiltonian scores too.
+//! Each `prev` that wins is attached at once and never scored again;
+//! only a `prev` beaten by a touched fact can still be live when the
+//! heap widens and be scored a second time. A remap therefore scores
+//! at most one candidate more than the cold build.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -97,10 +102,19 @@ pub(super) struct CandidateHeap {
     n: usize,
     options: HattOptions,
     blend: Blend,
-    /// `Some(touched)` while the heap is scoped to a remap's delta:
-    /// `touched[v]` marks a node whose subtree holds a touched leaf.
-    /// `None` holds every fact.
-    scope: Option<Vec<bool>>,
+    /// `Some` while the heap is scoped to a remap's delta; `None` holds
+    /// every fact.
+    scope: Option<Scope>,
+}
+
+/// What a scoped heap knows about the remap it serves.
+#[derive(Debug)]
+struct Scope {
+    /// `touched[v]`: node `v`'s subtree holds a touched leaf.
+    touched: Vec<bool>,
+    /// The ancestor's winners still to replay, the next one last;
+    /// emptied once the build leaves the ancestor.
+    ancestor: Vec<[NodeId; 3]>,
 }
 
 impl CandidateHeap {
@@ -117,13 +131,23 @@ impl CandidateHeap {
         }
     }
 
-    /// An empty heap for a remap whose delta touched the Majorana
-    /// indices `touched`; it holds only in-scope facts until it widens.
-    pub(super) fn scoped(n: usize, options: &HattOptions, blend: Blend, touched: &[u32]) -> Self {
-        let mut scope = vec![false; 3 * n + 1];
+    /// An empty heap for a remap replaying the merge sequence
+    /// `ancestor` after a delta that touched the Majorana indices
+    /// `touched`; it holds only in-scope facts until it widens.
+    pub(super) fn scoped(
+        n: usize,
+        options: &HattOptions,
+        blend: Blend,
+        ancestor: &[[NodeId; 3]],
+        touched: &[u32],
+    ) -> Self {
+        let mut scope = Scope {
+            touched: vec![false; 3 * n + 1],
+            ancestor: ancestor.iter().rev().copied().collect(),
+        };
         for &i in touched {
             if (i as usize) < 2 * n {
-                scope[i as usize] = true;
+                scope.touched[i as usize] = true;
             }
         }
         CandidateHeap {
@@ -138,16 +162,14 @@ impl CandidateHeap {
     /// winner stays in the heap; once the caller attaches it, it is
     /// stale and drops.
     ///
-    /// `prev` is the ancestor's winner at this step while a remap still
-    /// replays the ancestor, `None` otherwise. A scoped heap elects the
-    /// smaller of an untouched `prev` and the top in-scope fact, and
-    /// widens first when there is no untouched `prev` to compare with.
+    /// A scoped heap elects the smaller of the ancestor's untouched
+    /// winner at this step and the top in-scope fact, and widens first
+    /// when there is no untouched ancestor winner to compare with.
     pub(super) fn select(
         &mut self,
         engine: &mut TermEngine,
         state: &PairingState,
         builder: &TernaryTreeBuilder,
-        prev: Option<[NodeId; 3]>,
         stats: &mut IterationStats,
     ) -> Result<Selection, HattError> {
         let u = builder.roots();
@@ -160,10 +182,9 @@ impl CandidateHeap {
             self.push_parent(engine, state, builder, &u, p, stats);
         }
         self.newest = newest;
-        let prev = prev.filter(|p| {
-            self.scope
-                .as_ref()
-                .is_some_and(|touched| !p.iter().any(|&v| touched[v]))
+        let prev = self.scope.as_mut().and_then(|scope| {
+            let prev = scope.ancestor.pop()?;
+            (!prev.iter().any(|&v| scope.touched[v])).then_some(prev)
         });
         if self.scope.is_some() && prev.is_none() {
             // Widen: add the untouched facts and drop the scope.
@@ -186,6 +207,13 @@ impl CandidateHeap {
                 stats.candidates += 1;
                 let prev = self.fact(engine, x.min(y), x.max(y), z);
                 let win = top.min(prev);
+                if win != prev {
+                    // A touched fact won: the build leaves the ancestor,
+                    // so the next step widens.
+                    if let Some(scope) = self.scope.as_mut() {
+                        scope.ancestor.clear();
+                    }
+                }
                 (win.lo as NodeId, win.hi as NodeId, win.z as NodeId)
             }
             (Some([x, y, z]), None) => (x.min(y), x.max(y), z),
@@ -251,8 +279,8 @@ impl CandidateHeap {
         parent: NodeId,
         stats: &mut IterationStats,
     ) {
-        if let (Some(touched), Some(children)) = (&mut self.scope, builder.children_of(parent)) {
-            touched[parent] = children.iter().any(|&c| touched[c]);
+        if let (Some(scope), Some(children)) = (&mut self.scope, builder.children_of(parent)) {
+            scope.touched[parent] = children.iter().any(|&c| scope.touched[c]);
         }
         let before = self.heap.len();
         let mut pairs_seen = 0;
@@ -281,9 +309,10 @@ impl CandidateHeap {
 
     /// Whether the candidate `{lo, hi}` × `z` belongs in the heap.
     fn in_scope(&self, lo: NodeId, hi: NodeId, z: NodeId) -> bool {
-        self.scope
-            .as_ref()
-            .is_none_or(|touched| touched[lo] || touched[hi] || touched[z])
+        self.scope.as_ref().is_none_or(|scope| {
+            let t = &scope.touched;
+            t[lo] || t[hi] || t[z]
+        })
     }
 
     fn fact(&self, engine: &mut TermEngine, lo: NodeId, hi: NodeId, z: NodeId) -> Fact {

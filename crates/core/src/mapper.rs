@@ -155,8 +155,8 @@ impl Mapper {
     /// options admit the incremental kernel, the rebuild replays that
     /// tree and scores only the candidates the delta touches until the
     /// first step the delta can change; from there it finishes as a
-    /// cold greedy build. It never scores more than a cold build plus
-    /// `3N + 1` candidates per touched Majorana index.
+    /// cold greedy build. It scores at most one candidate more than a
+    /// cold build.
     /// [`MappingCache::remaps`] counts the incremental rebuilds.
     ///
     /// # Errors

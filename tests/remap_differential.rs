@@ -491,8 +491,11 @@ fn warm(h: &MajoranaSum) -> Mapper {
 
 /// Remaps `delta` on `mapper` (whose cache holds `current`), checks the
 /// result against a fresh build, and enforces the kernel's work bound:
-/// a remap scores at most what the cold build of the edited
-/// Hamiltonian scores, plus `3N + 1` per touched Majorana index.
+/// every candidate a remap scores is one the cold build of the edited
+/// Hamiltonian scores too, and only the ancestor's winner at the step
+/// the build leaves the ancestor can be scored twice — so a remap
+/// scores at most one candidate more than the cold build. The looser
+/// allowance of `3N + 1` per touched Majorana index is checked as well.
 /// Returns `(remap, cold)`.
 fn remap_within_bound(
     ctx: &str,
@@ -517,6 +520,10 @@ fn remap_within_bound(
         cold.stats().total_candidates(),
     );
     assert!(
+        got <= fresh + 1,
+        "{ctx}: remap scored {got} candidates, cold build {fresh}"
+    );
+    assert!(
         got <= fresh + touched * (3 * n + 1),
         "{ctx}: remap scored {got} candidates, cold build {fresh}, {touched} touched at N = {n}"
     );
@@ -524,7 +531,7 @@ fn remap_within_bound(
 }
 
 #[test]
-fn one_term_remaps_score_at_most_a_cold_build_plus_the_touched_bound() {
+fn one_term_remaps_score_at_most_one_candidate_more_than_a_cold_build() {
     let mut bases: Vec<(String, MajoranaSum)> = full_roster()
         .into_iter()
         .map(|(name, h, _)| (name, h))
